@@ -47,9 +47,18 @@ struct ProgressState {
   std::vector<std::atomic<long long>> completed;
 };
 
-/// The non-blocking self-pipe progress callbacks use to wake the poll
-/// loop.  Declared before the Executor in Impl so it outlives the pool
-/// drain — callbacks may write to it until the last campaign finishes.
+/// Wakes the poll loop with one byte on the self-pipe.  The pipe is
+/// non-blocking; a full pipe already guarantees a pending wakeup.  Safe
+/// from any thread and async-signal-safe.
+void wake_loop(int wake_fd) {
+  const char byte = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
+}
+
+/// The non-blocking self-pipe that campaign completion, progress callbacks
+/// and stop() use to wake the poll loop.  Declared before the Executor in
+/// Impl so it outlives the pool drain — the completion hook and progress
+/// callbacks may write to it until the last campaign finishes.
 struct WakePipe {
   int read_fd = -1;
   int write_fd = -1;
@@ -76,12 +85,9 @@ ProgressCallback make_point_progress(std::shared_ptr<ProgressState> state,
     if (state->cancelled.load(std::memory_order_acquire)) return false;
     state->completed[point].store(progress.completed,
                                   std::memory_order_relaxed);
-    if (!state->dirty.exchange(true, std::memory_order_acq_rel)) {
-      // Coalesced wakeup: one pipe byte per dirty transition.  The pipe
-      // is non-blocking; a full pipe already guarantees a pending wakeup.
-      const char byte = 1;
-      [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
-    }
+    // Coalesced wakeup: one pipe byte per dirty transition.
+    if (!state->dirty.exchange(true, std::memory_order_acq_rel))
+      wake_loop(wake_fd);
     return true;
   };
 }
@@ -126,7 +132,8 @@ struct ActiveJob {
   std::vector<CampaignHandle> handles;
   std::shared_ptr<ProgressState> state;  ///< null unless progress_wanted
   /// Refined sweeps run through the non-blocking refinement state machine
-  /// instead of a fixed handle list; collect_ready() pumps it each tick.
+  /// instead of a fixed handle list; collect_ready() pumps it on every loop
+  /// wakeup, and each generation's campaigns wake the loop as they finish.
   std::unique_ptr<RefinementDriver> driver;
 };
 
@@ -163,7 +170,10 @@ struct Server::Impl {
       : config(std::move(cfg)),
         listener(listen_socket(config.address)),
         cache(config.cache_bytes),
-        executor(config.executor_threads) {
+        // Every campaign finish wakes the loop, so collect_ready() runs as
+        // soon as a job's last handle is ready.
+        executor(config.executor_threads,
+                 [wake_fd = wake.write_fd] { wake_loop(wake_fd); }) {
     if (config.max_active_jobs < 1) config.max_active_jobs = 1;
     policy.small_job_cost = config.small_job_runs;
     set_nonblocking(listener.fd());
@@ -382,17 +392,19 @@ struct Server::Impl {
           std::move(point.values), std::move(point.instance),
           std::move(point.adversary), std::move(point.config)));
     }
-    log("job " + std::to_string(admitted.id) + " from client " +
-        std::to_string(admitted.client_fd) + " started (" +
-        (admitted.sweep ? "sweep, " : "scenario, ") +
-        std::to_string(admitted.handles.size()) + " campaign(s))");
+    if (config.log)
+      log("job " + std::to_string(admitted.id) + " from client " +
+          std::to_string(admitted.client_fd) + " started (" +
+          (admitted.sweep ? "sweep, " : "scenario, ") +
+          std::to_string(admitted.handles.size()) + " campaign(s))");
     active.push_back(std::move(admitted));
   }
 
   /// Admits a refined sweep: the RefinementDriver submits generation 0
-  /// itself and is pumped from collect_ready() each loop tick, so the
-  /// event loop never blocks on a refinement decision.  Progress wakeups
-  /// ride the same self-pipe as plain jobs.
+  /// itself and is pumped from collect_ready() whenever the loop wakes —
+  /// its point campaigns run on the shared executor, so their completion
+  /// hook is the wakeup — and the event loop never blocks on a refinement
+  /// decision.  Progress wakeups ride the same self-pipe as plain jobs.
   /// \throws RefineError / ScenarioError on an invalid spec.
   void start_refined_job(PendingJob job) {
     ActiveJob admitted;
@@ -403,18 +415,15 @@ struct Server::Impl {
     admitted.cache_key = std::move(job.cache_key);
     RefineDriverOptions options;
     if (job.progress_wanted) {
-      const int wake_fd = wake.write_fd;
-      options.on_progress = [wake_fd] {
-        const char byte = 1;
-        [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
-      };
+      options.on_progress = [wake_fd = wake.write_fd] { wake_loop(wake_fd); };
     }
     admitted.driver = std::make_unique<RefinementDriver>(
         job.sweep_spec, executor, std::move(options));
     admitted.total = admitted.driver->budget_runs();
-    log("job " + std::to_string(admitted.id) + " from client " +
-        std::to_string(admitted.client_fd) + " started (refined sweep, " +
-        std::to_string(job.sweep_spec.point_count()) + " coarse point(s))");
+    if (config.log)
+      log("job " + std::to_string(admitted.id) + " from client " +
+          std::to_string(admitted.client_fd) + " started (refined sweep, " +
+          std::to_string(job.sweep_spec.point_count()) + " coarse point(s))");
     active.push_back(std::move(admitted));
   }
 
@@ -448,8 +457,9 @@ struct Server::Impl {
       bool done = false;
       std::string pump_failure;
       if (it->driver) {
-        // One pump per tick: collects a completed generation and submits
-        // the next one, or finalises.  Never blocks.
+        // One pump per wakeup: collects a completed generation and submits
+        // the next one, or finalises.  Never blocks.  While it returns
+        // false a generation is in flight, whose finish wakes the loop.
         try {
           done = it->driver->pump();
         } catch (const std::exception& e) {
@@ -524,9 +534,10 @@ struct Server::Impl {
     jobs_completed.fetch_add(1, std::memory_order_relaxed);
     send_payload(job.client_fd, client,
                  encode_result_text(job.id, false, text));
-    log("job " + std::to_string(job.id) + " for client " +
-        std::to_string(job.client_fd) + " completed (" +
-        std::to_string(text.size()) + " result bytes)");
+    if (config.log)
+      log("job " + std::to_string(job.id) + " for client " +
+          std::to_string(job.client_fd) + " completed (" +
+          std::to_string(text.size()) + " result bytes)");
   }
 
   // --- connection lifecycle ------------------------------------------------
@@ -660,18 +671,16 @@ struct Server::Impl {
     return Client::Clock::time_point::max();
   }
 
-  /// Folds the earliest client deadline into the poll timeout.
-  int fold_deadline_timeout(int timeout_ms,
-                            Client::Clock::time_point now) const {
+  /// The poll timeout: milliseconds until the earliest client deadline,
+  /// or -1 (block until an fd is ready) when no deadline is armed.
+  int deadline_timeout(Client::Clock::time_point now) const {
     auto earliest = Client::Clock::time_point::max();
     for (const auto& entry : clients)
       earliest = std::min(earliest, client_deadline(entry.first, entry.second));
-    if (earliest == Client::Clock::time_point::max()) return timeout_ms;
+    if (earliest == Client::Clock::time_point::max()) return -1;
     const auto left =
         std::chrono::duration_cast<std::chrono::milliseconds>(earliest - now);
-    const int until = static_cast<int>(
-        std::clamp<long long>(left.count() + 1, 0, 60'000));
-    return timeout_ms < 0 ? until : std::min(timeout_ms, until);
+    return static_cast<int>(std::clamp<long long>(left.count() + 1, 0, 60'000));
   }
 
   void enforce_deadlines(Client::Clock::time_point now) {
@@ -716,11 +725,10 @@ struct Server::Impl {
         if (!entry.second.outbox.empty()) events |= POLLOUT;
         fds.push_back(pollfd{entry.first, events, 0});
       }
-      // Completion has no notification channel (by design: ready() is a
-      // cheap atomic poll), so tick while anything is active; client
-      // deadlines bound the sleep so expiries are enforced on time.
-      const int timeout_ms = fold_deadline_timeout(active.empty() ? -1 : 10,
-                                                   Client::Clock::now());
+      // Sleep until a socket is ready or the wake pipe has a byte: campaign
+      // completion, progress and stop() all write one.  Only client
+      // deadlines bound the sleep, so expiries are enforced on time.
+      const int timeout_ms = deadline_timeout(Client::Clock::now());
       const int ready =
           dispatch::poll_fds(fds.data(), fds.size(), timeout_ms);
       if (ready < 0)
@@ -797,9 +805,7 @@ void Server::run() { impl_->run(); }
 void Server::stop() {
   // Async-signal-safe: an atomic store plus one write to the wake pipe.
   impl_->stop_flag.store(true, std::memory_order_release);
-  const char byte = 1;
-  [[maybe_unused]] const ssize_t n =
-      ::write(impl_->wake.write_fd, &byte, 1);
+  wake_loop(impl_->wake.write_fd);
 }
 
 const std::string& Server::address() const {

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -55,12 +56,15 @@ void validate_campaign_config(const CampaignConfig& config) {
 
 namespace detail {
 
-/// The pool's scheduling lock and wake signal.  Shared between the
-/// executor and every job it created, so a handle-side cancel can wake
-/// idle workers without racing executor destruction.
+/// The pool's scheduling lock, wake signal and completion hook.  Shared
+/// between the executor and every job it created, so a handle-side cancel
+/// can wake idle workers without racing executor destruction.
 struct PoolSignal {
+  explicit PoolSignal(std::function<void()> hook)
+      : on_campaign_finished(std::move(hook)) {}
   std::mutex mu;
   std::condition_variable cv;
+  const std::function<void()> on_campaign_finished;
 };
 
 /// Everything one run contributes to the aggregate, in a form that can be
@@ -147,7 +151,10 @@ class CampaignJob {
     return true;
   }
 
-  bool finished_locked() const { return finished_; }
+  /// True once the job is finished and its completion hook has returned:
+  /// only then may the pool forget it, so ~Executor's drain also waits out
+  /// a hook running on a cancelling thread.  Caller holds `mu`.
+  bool retired_locked() const { return finished_ && !announcing_; }
 
   /// True when nobody is executing and the job needs a closing pass: its
   /// wave is exhausted, it was cancelled, or a worker errored.  Caller
@@ -391,6 +398,15 @@ class CampaignJob {
         finished_ = true;
         closing_ = false;
         done_cv_.notify_all();
+        if (pool_->on_campaign_finished) {
+          // Fired once, after `finished_` is published (ready() already
+          // holds) and outside every lock.
+          announcing_ = true;
+          lock.unlock();
+          pool_->on_campaign_finished();
+          lock.lock();
+          announcing_ = false;
+        }
         return;
       }
       if (flush_failed) continue;  // redo the pass as an errored finish
@@ -563,6 +579,7 @@ class CampaignJob {
   int claim_size_ = 1;       ///< block size for the open wave
   bool closing_ = false;     ///< a thread owns the wave transition
   bool finished_ = false;
+  bool announcing_ = false;  ///< the completion hook is running
   std::exception_ptr first_error_;
   CampaignResult result_;
 
@@ -607,10 +624,13 @@ bool CampaignHandle::cancel() {
 // --- Executor ---------------------------------------------------------------
 
 struct Executor::Impl {
+  explicit Impl(std::function<void()> on_campaign_finished)
+      : signal(std::make_shared<detail::PoolSignal>(
+            std::move(on_campaign_finished))) {}
+
   /// Guards `active` and `shutdown` and wakes idle workers; shared with
   /// every job (see PoolSignal).
-  std::shared_ptr<detail::PoolSignal> signal =
-      std::make_shared<detail::PoolSignal>();
+  std::shared_ptr<detail::PoolSignal> signal;
   /// Submission order; finished jobs are pruned during worker scans.
   std::list<std::shared_ptr<detail::CampaignJob>> active;
   bool shutdown = false;
@@ -632,7 +652,7 @@ struct Executor::Impl {
       bool close_only = false;
       for (auto it = active.begin(); it != active.end();) {
         std::unique_lock<std::mutex> job_lock((*it)->mutex());
-        if ((*it)->finished_locked()) {
+        if ((*it)->retired_locked()) {
           job_lock.unlock();
           it = active.erase(it);
           continue;
@@ -674,7 +694,8 @@ struct Executor::Impl {
   }
 };
 
-Executor::Executor(int threads) : impl_(std::make_unique<Impl>()) {
+Executor::Executor(int threads, std::function<void()> on_campaign_finished)
+    : impl_(std::make_unique<Impl>(std::move(on_campaign_finished))) {
   HOVAL_EXPECTS_MSG(threads >= 0,
                     "executor threads must be >= 0 (0 = hardware concurrency)");
   threads_ = resolve_pool_threads(threads);

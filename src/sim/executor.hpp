@@ -43,6 +43,7 @@
 /// single-worker Executor (the per-campaign CampaignConfig::threads knob
 /// cannot restrict a shared pool).
 
+#include <functional>
 #include <memory>
 
 #include "sim/campaign.hpp"
@@ -103,8 +104,23 @@ class Executor {
  public:
   /// Spins up the pool.  `threads` = 0 means one worker per hardware
   /// thread; 1 gives a serial (but still async) executor.
+  ///
+  /// `on_campaign_finished`, when set, is called exactly once per submitted
+  /// campaign, whichever way it finishes: full budget, adaptive early
+  /// stop, error, or cancellation before or during its runs.  It runs after
+  /// the campaign's handle reports ready(), with no executor lock held, on
+  /// the thread that finished the campaign: a pool worker, or the thread
+  /// calling CampaignHandle::cancel() when nothing was executing.  It lets
+  /// an event loop sleep until work completes instead of polling ready().
+  /// Keep it to a non-blocking wakeup (a pipe write, a condition-variable
+  /// notify).  It must not throw and must not block — in particular it
+  /// must not wait on a handle (wait(), result(), take()) or submit work —
+  /// since it may run on a worker the pool needs or inside a cancel()
+  /// call; a ready() check is fine.  ~Executor's drain waits for every
+  /// call to return.
   /// \throws PreconditionError on threads < 0.
-  explicit Executor(int threads = 0);
+  explicit Executor(int threads = 0,
+                    std::function<void()> on_campaign_finished = {});
 
   /// Drains: blocks until every submitted campaign has finished (cancel
   /// handles first for a fast exit), then joins the workers.

@@ -4,7 +4,8 @@
 /// must be served from the spec-hash cache without executing runs,
 /// concurrent clients must not perturb each other, and a disconnect must
 /// cancel the client's in-flight jobs while other clients' jobs finish
-/// untouched.
+/// untouched, and a job is answered when its campaigns finish, not on a
+/// timer.
 
 #include "service/server.hpp"
 
@@ -17,6 +18,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -175,6 +177,103 @@ TEST(Daemon, RefinedSweepMatchesLocalRunByteForByteAndRepeatsFromCache) {
   ASSERT_TRUE(repeat.ok) << repeat.error;
   EXPECT_TRUE(repeat.cache_hit);
   EXPECT_EQ(repeat.result.dump(), local);
+}
+
+// --- completion wakes the loop ----------------------------------------------
+
+/// Runs `submit` on a helper thread.  If it has not returned within
+/// `deadline`, records a failure and stops the server, whose teardown
+/// closes the connection and unblocks the client — so a job whose
+/// completion never wakes the event loop fails the test instead of
+/// hanging it.
+template <class Fn>
+auto finishes_within(ServerFixture& fixture, std::chrono::seconds deadline,
+                     Fn submit) {
+  auto future = std::async(std::launch::async, std::move(submit));
+  if (future.wait_for(deadline) != std::future_status::ready) {
+    ADD_FAILURE() << "job still unanswered after " << deadline.count()
+                  << " s";
+    fixture.server().stop();
+  }
+  return future.get();
+}
+
+TEST(Daemon, ColdScenariosAreAnsweredWhenTheyFinishNotOnATimer) {
+  // One-run scenarios compute in well under a millisecond; each campaign's
+  // finish wakes the loop, so the answer follows the work.  A loop that
+  // noticed completion on a 10 ms timer would need >= 200 ms for these 20.
+  // The same scenarios run locally first: their time is added to the
+  // budget, so a slow (sanitized, debug) build is not mistaken for waiting.
+  using Clock = std::chrono::steady_clock;
+  std::vector<ScenarioSpec> specs;
+  for (int i = 0; i < 20; ++i) specs.push_back(small_spec(1, 7000 + i));
+  std::vector<std::string> local;
+  const auto local_start = Clock::now();
+  for (const ScenarioSpec& spec : specs)
+    local.push_back(local_scenario_bytes(spec));
+  const auto local_elapsed = Clock::now() - local_start;
+
+  ServerFixture fixture({});
+  ServiceClient client(fixture.address());
+  const auto [served, elapsed] =
+      finishes_within(fixture, std::chrono::seconds(30), [&] {
+        std::vector<JobOutcome> outcomes;
+        const auto start = Clock::now();
+        for (const ScenarioSpec& spec : specs)
+          outcomes.push_back(client.submit_scenario(spec.to_json()));
+        return std::make_pair(std::move(outcomes), Clock::now() - start);
+      });
+
+  ASSERT_EQ(served.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(served[i].ok) << served[i].error;
+    EXPECT_FALSE(served[i].cache_hit) << "scenario " << i;
+    EXPECT_EQ(served[i].result.dump(), local[i]) << "scenario " << i;
+  }
+  const auto budget = std::chrono::milliseconds(100) + 2 * local_elapsed;
+  EXPECT_LT(elapsed, budget)
+      << "20 cold one-run scenarios took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
+      << " ms";
+}
+
+TEST(Daemon, JobsWithoutProgressFinishOnTheCompletionWakeAlone) {
+  // Without `progress`, nothing but the executor's completion hook wakes
+  // the loop for these jobs: a plain sweep's last handle, and every
+  // generation of a refined sweep (the driver is pumped on those wakes).
+  ServerConfig config;
+  config.executor_threads = 1;
+  ServerFixture fixture(std::move(config));
+
+  SweepSpec plain;
+  plain.base = small_spec(20);
+  plain.axes.push_back(
+      SweepAxis::single("algorithm.params.alpha", {Json(0), Json(1)}));
+
+  SweepSpec refined;
+  refined.base = small_spec(30, 77);
+  refined.base.algorithm = component("utea", {{"n", 6}, {"alpha", 1}});
+  refined.base.values = component("unanimous", {{"value", 1}});
+  refined.axes.push_back(
+      SweepAxis::single("campaign.rounds", {Json(1), Json(8)}));
+  refined.refine.enabled = true;
+  refined.refine.monitor = MonitorSelector::parse("termination");
+
+  ServiceClient client(fixture.address());
+  const auto [plain_outcome, refined_outcome] =
+      finishes_within(fixture, std::chrono::seconds(30), [&] {
+        JobOutcome first = client.submit_sweep(plain.to_json());
+        JobOutcome second = client.submit_sweep(refined.to_json());
+        return std::make_pair(std::move(first), std::move(second));
+      });
+
+  ASSERT_TRUE(plain_outcome.ok) << plain_outcome.error;
+  EXPECT_EQ(plain_outcome.result.dump(), local_sweep_bytes(plain));
+  ASSERT_TRUE(refined_outcome.ok) << refined_outcome.error;
+  const std::string local = run_refined_sweep(refined).to_json().dump();
+  EXPECT_EQ(refined_outcome.result.dump(), local);
+  EXPECT_GE(RefinedSweepResult::from_json(refined_outcome.result).generations,
+            2);
 }
 
 TEST(Daemon, CorpusScenariosMatchLocalRunsAndRepeatFromCache) {

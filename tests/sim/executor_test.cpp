@@ -3,7 +3,9 @@
 /// submission interleaving, overlapped with whole sweeps — are
 /// bit-identical to the classic one-campaign CampaignEngine path, and
 /// CampaignHandle's cancel/ready/wait/result semantics hold from
-/// cancel-before-start through cancel-midway to post-completion.
+/// cancel-before-start through cancel-midway to post-completion, and the
+/// optional completion hook fires exactly once per campaign, after its
+/// handle is ready, without changing a result byte.
 
 #include "sim/executor.hpp"
 
@@ -12,7 +14,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
+#include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,10 +25,12 @@
 #include "core/factories.hpp"
 #include "predicates/liveness.hpp"
 #include "predicates/safety.hpp"
+#include "refine/driver.hpp"
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"
 #include "sim/engine.hpp"
 #include "sim/initial_values.hpp"
+#include "sim/result_json.hpp"
 #include "util/check.hpp"
 
 namespace hoval {
@@ -419,6 +426,246 @@ TEST(Executor, SweepProgressVetoCancelsTheWholeSweep) {
     EXPECT_LT(executed, 4 * 4096);
   }
 }
+
+// --- completion hook --------------------------------------------------------
+
+/// Parks every run of a campaign at its first step until released, so the
+/// test can register handles — or cancel — before anything finishes.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  int entered = 0;
+
+  void pass() {
+    std::unique_lock<std::mutex> lock(mu);
+    ++entered;
+    cv.notify_all();
+    cv.wait(lock, [&] { return open; });
+  }
+  void wait_entered(int count) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered >= count; });
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      open = true;
+    }
+    cv.notify_all();
+  }
+};
+
+ValueGenerator gated(std::shared_ptr<Gate> gate, ValueGenerator inner) {
+  return [gate, inner](Rng& rng) {
+    gate->pass();
+    return inner(rng);
+  };
+}
+
+/// Counts completion-hook calls and checks, inside each call, that at
+/// least as many watched handles are ready as there have been calls —
+/// i.e. no call ran ahead of the finish it announces.
+struct HookProbe {
+  std::mutex mu;
+  std::vector<CampaignHandle> watched;
+  int calls = 0;
+  bool ran_ahead = false;
+
+  std::function<void()> hook() {
+    return [this] {
+      std::lock_guard<std::mutex> lock(mu);
+      ++calls;
+      int ready = 0;
+      for (const CampaignHandle& handle : watched)
+        ready += handle.ready() ? 1 : 0;
+      if (ready < calls) ran_ahead = true;
+    };
+  }
+  void watch(const CampaignHandle& handle) {
+    std::lock_guard<std::mutex> lock(mu);
+    watched.push_back(handle);
+  }
+};
+
+std::string result_bytes(const CampaignResult& result) {
+  return campaign_result_to_json(result).dump();
+}
+
+/// The same campaign on a pool without a hook, for byte comparison.
+std::string unhooked_bytes(int threads, const CampaignConfig& config) {
+  Executor executor(threads);
+  return result_bytes(executor
+                          .submit(random_of(9, 3),
+                                  ate_instance(AteParams::canonical(9, 2)),
+                                  corruption_of(2), config)
+                          .result());
+}
+
+class CompletionHook : public ::testing::TestWithParam<int> {};
+
+TEST_P(CompletionHook, FiresOncePerCampaignAfterFullBudget) {
+  const int threads = GetParam();
+  HookProbe probe;
+  auto gate = std::make_shared<Gate>();
+  std::vector<std::string> served;
+  {
+    Executor executor(threads, probe.hook());
+    std::vector<CampaignHandle> handles;
+    for (int i = 0; i < 3; ++i) {
+      handles.push_back(executor.submit(
+          gated(gate, random_of(9, 3)),
+          ate_instance(AteParams::canonical(9, 2)), corruption_of(2),
+          base_config(64, 0xEB61 + i)));
+      probe.watch(handles.back());
+    }
+    gate->release();
+    for (const CampaignHandle& handle : handles)
+      served.push_back(result_bytes(handle.result()));
+  }  // the drain waits for every hook call
+  EXPECT_EQ(probe.calls, 3);
+  EXPECT_FALSE(probe.ran_ahead);
+  for (int i = 0; i < 3; ++i)
+    EXPECT_EQ(served[static_cast<std::size_t>(i)],
+              unhooked_bytes(threads, base_config(64, 0xEB61 + i)));
+}
+
+TEST_P(CompletionHook, FiresOnceOnAdaptiveEarlyStop) {
+  const int threads = GetParam();
+  CampaignConfig config = base_config(2048, 0xADA0);
+  config.adaptive.enabled = true;
+  config.adaptive.min_runs = 32;
+  config.adaptive.ci_epsilon = 0.3;
+  config.adaptive.ci_confidence = 0.95;
+
+  HookProbe probe;
+  auto gate = std::make_shared<Gate>();
+  std::string served;
+  {
+    Executor executor(threads, probe.hook());
+    CampaignHandle handle = executor.submit(
+        gated(gate, random_of(9, 3)), ate_instance(AteParams::canonical(9, 2)),
+        corruption_of(2), config);
+    probe.watch(handle);
+    gate->release();
+    ASSERT_TRUE(handle.result().stopped_early);
+    EXPECT_LT(handle.result().runs, 2048);
+    served = result_bytes(handle.result());
+  }
+  EXPECT_EQ(probe.calls, 1);
+  EXPECT_FALSE(probe.ran_ahead);
+  EXPECT_EQ(served, unhooked_bytes(threads, config));
+}
+
+TEST_P(CompletionHook, FiresOnceOnBuilderError) {
+  const int threads = GetParam();
+  const InstanceBuilder throwing_instance = [](const std::vector<Value>&) {
+    return ProcessVector{};  // size mismatch trips the run precondition
+  };
+  HookProbe probe;
+  auto gate = std::make_shared<Gate>();
+  {
+    Executor executor(threads, probe.hook());
+    CampaignHandle failing =
+        executor.submit(gated(gate, random_of(9, 3)), throwing_instance,
+                        corruption_of(2), base_config(32, 0xEB61));
+    probe.watch(failing);
+    gate->release();
+    EXPECT_THROW(failing.result(), PreconditionError);
+  }
+  EXPECT_EQ(probe.calls, 1);
+  EXPECT_FALSE(probe.ran_ahead);
+}
+
+TEST_P(CompletionHook, FiresOnceOnCancelBeforeStart) {
+  // Every worker parks in the occupying campaign's gate (it has far more
+  // claims than the pool has workers), so the second campaign cannot have
+  // started when it is cancelled: its hook runs on this thread.
+  const int threads = GetParam();
+  HookProbe probe;
+  auto gate = std::make_shared<Gate>();
+  std::string busy_bytes;
+  {
+    Executor executor(threads, probe.hook());
+    CampaignHandle busy = executor.submit(
+        gated(gate, random_of(9, 3)), ate_instance(AteParams::canonical(9, 2)),
+        corruption_of(2), base_config(256, 0xEB61));
+    probe.watch(busy);
+    gate->wait_entered(threads);
+    CampaignHandle doomed = executor.submit(
+        random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
+        corruption_of(2), base_config(256, 0xD00D));
+    probe.watch(doomed);
+
+    EXPECT_TRUE(doomed.cancel());
+    EXPECT_TRUE(doomed.ready());
+    {
+      std::lock_guard<std::mutex> lock(probe.mu);
+      EXPECT_EQ(probe.calls, 1);  // fired inline, before cancel() returned
+    }
+    EXPECT_EQ(doomed.result().runs, 0);
+    EXPECT_TRUE(doomed.result().cancelled);
+    EXPECT_FALSE(doomed.cancel());
+
+    gate->release();
+    busy_bytes = result_bytes(busy.result());
+  }
+  EXPECT_EQ(probe.calls, 2);
+  EXPECT_FALSE(probe.ran_ahead);
+  EXPECT_EQ(busy_bytes, unhooked_bytes(threads, base_config(256, 0xEB61)));
+}
+
+TEST_P(CompletionHook, FiresOnceOnCancelMidRun) {
+  const int threads = GetParam();
+  HookProbe probe;
+  auto gate = std::make_shared<Gate>();
+  {
+    Executor executor(threads, probe.hook());
+    CampaignHandle handle = executor.submit(
+        gated(gate, random_of(9, 3)), ate_instance(AteParams::canonical(9, 2)),
+        corruption_of(2), base_config(4096, 0xEB61));
+    probe.watch(handle);
+    gate->wait_entered(1);  // a run is executing
+    EXPECT_TRUE(handle.cancel());
+    gate->release();
+    const CampaignResult& result = handle.result();
+    EXPECT_TRUE(result.cancelled);
+    EXPECT_GT(result.runs, 0);
+    EXPECT_LT(result.runs, 4096);
+  }
+  EXPECT_EQ(probe.calls, 1);
+  EXPECT_FALSE(probe.ran_ahead);
+}
+
+TEST_P(CompletionHook, FiresOncePerRefinementPointCampaign) {
+  const int threads = GetParam();
+  SweepSpec sweep = SweepSpec::from_json_text(R"({
+    "scenario": {
+      "algorithm": {"name": "utea", "params": {"n": 6, "alpha": 1}},
+      "values": {"name": "unanimous", "params": {"value": 1}},
+      "campaign": {"runs": 40, "rounds": 1, "seed": 1234}
+    },
+    "axes": [{"path": "campaign.rounds", "points": [1, 16]}],
+    "refine": {"monitor": "termination"}
+  })");
+  std::atomic<int> calls{0};
+  RefinedSweepResult refined;
+  {
+    Executor executor(threads, [&calls] { calls.fetch_add(1); });
+    refined = run_refined_sweep(sweep, &executor);
+  }
+  EXPECT_GE(refined.generations, 2);
+  // Every generation's points run as campaigns on the hooked pool.
+  EXPECT_EQ(calls.load(), static_cast<int>(refined.points.size()));
+  Executor unhooked(threads);
+  EXPECT_EQ(refined.to_json().dump(),
+            run_refined_sweep(sweep, &unhooked).to_json().dump());
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, CompletionHook, ::testing::Values(1, 2, 8),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace hoval
