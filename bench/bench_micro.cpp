@@ -22,7 +22,6 @@
 #include "runtime/serialization.hpp"
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"
-#include "sim/engine.hpp"
 #include "sim/executor.hpp"
 #include "sim/initial_values.hpp"
 #include "sim/simulator.hpp"
@@ -48,14 +47,15 @@ CampaignResult run_throughput_campaign(const CampaignConfig& config) {
   const int alpha = 3;
   RandomCorruptionConfig corruption;
   corruption.alpha = alpha;
-  return CampaignEngine(config).run(
+  return run_campaign(
       [n](Rng& rng) { return random_values(n, 3, rng); },
       [n, alpha](const std::vector<Value>& init) {
         return make_ate_instance(AteParams::canonical(n, alpha), init);
       },
       [corruption] {
         return std::make_shared<RandomCorruptionAdversary>(corruption);
-      });
+      },
+      config);
 }
 
 void BM_CampaignThroughput(benchmark::State& state) {

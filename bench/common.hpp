@@ -26,7 +26,6 @@
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"
 #include "sim/campaign.hpp"
-#include "sim/engine.hpp"
 #include "sim/executor.hpp"
 #include "sim/initial_values.hpp"
 #include "stats/descriptive.hpp"
@@ -164,7 +163,7 @@ inline Executor make_bench_executor() { return Executor(campaign_threads()); }
 /// and accounts wall time into the active BenchRecorder.  With a shared
 /// `executor` the campaign is submitted to that persistent pool (the
 /// result is bit-identical — campaigns do not depend on the pool that ran
-/// them); without one it pays the classic one-shot engine pool.
+/// them); without one it pays a one-shot pool (run_campaign).
 inline CampaignResult run_campaign_timed(const ValueGenerator& values,
                                          const InstanceBuilder& instance,
                                          const AdversaryBuilder& adversary,
@@ -183,13 +182,12 @@ inline CampaignResult run_campaign_timed(const ValueGenerator& values,
                   .count();
     threads = executor->threads();
   } else {
-    const CampaignEngine engine(config);
     const auto start = std::chrono::steady_clock::now();
-    result = engine.run(values, instance, adversary);
+    result = run_campaign(values, instance, adversary, config);
     seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             start)
                   .count();
-    threads = engine.threads();
+    threads = campaign_pool_threads(config);
   }
   if (BenchRecorder::active())
     BenchRecorder::active()->note_campaign(result, seconds, threads);

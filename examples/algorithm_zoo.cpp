@@ -18,7 +18,7 @@
 #include "adversary/wrappers.hpp"
 #include "core/factories.hpp"
 #include "core/last_voting.hpp"
-#include "sim/engine.hpp"
+#include "sim/campaign.hpp"
 #include "sim/initial_values.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
@@ -86,12 +86,12 @@ int main() {
     config.sim.max_rounds = 40;
     config.sim.stop_when_all_decided = false;
     config.base_seed = 0x200;
-    // The engine shards runs across all cores; seeds derive from the run
+    // run_campaign shards runs across all cores; seeds derive from the run
     // index, so the table below is identical at any thread count.
     config.threads = 0;
-    const auto result = CampaignEngine(config).run(
+    const auto result = run_campaign(
         [](Rng& rng) { return random_values(9, 3, rng); }, contender.instance,
-        corruption_stack(contender.needs_good_rounds));
+        corruption_stack(contender.needs_good_rounds), config);
     table.add_row(
         {contender.name, std::to_string(result.agreement_violations),
          std::to_string(result.integrity_violations),

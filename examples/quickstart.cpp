@@ -18,7 +18,7 @@
 #include "core/factories.hpp"
 #include "predicates/liveness.hpp"
 #include "predicates/safety.hpp"
-#include "sim/engine.hpp"
+#include "sim/campaign.hpp"
 #include "sim/initial_values.hpp"
 #include "sim/properties.hpp"
 #include "sim/simulator.hpp"
@@ -87,7 +87,7 @@ int main() {
     faults += result.trace.alteration_count(r);
   std::cout << "corrupted transmissions absorbed: " << faults << "\n";
 
-  // 6. One run is an anecdote; campaigns are the evidence.  CampaignEngine
+  // 6. One run is an anecdote; campaigns are the evidence.  run_campaign
   //    shards runs across worker threads (threads = 0 -> all cores) while
   //    deriving every run's seeds from the run index, so the aggregate is
   //    bit-identical at any thread count.
@@ -96,8 +96,7 @@ int main() {
   campaign.sim.max_rounds = 50;
   campaign.base_seed = 2024;
   campaign.threads = 0;
-  const CampaignEngine engine(campaign);
-  const CampaignResult stats = engine.run(
+  const CampaignResult stats = run_campaign(
       [](Rng& rng) { return random_values(9, 3, rng); },
       [params](const std::vector<Value>& init) {
         return make_ate_instance(params, init);
@@ -105,8 +104,9 @@ int main() {
       [&corruption, &good] {
         return std::make_shared<GoodRoundScheduler>(
             std::make_shared<RandomCorruptionAdversary>(corruption), good);
-      });
-  std::cout << "\ncampaign (" << engine.threads()
+      },
+      campaign);
+  std::cout << "\ncampaign (" << campaign_pool_threads(campaign)
             << " threads): " << stats.summary() << "\n";
 
   return report.all_hold() && stats.safety_clean() ? 0 : 1;

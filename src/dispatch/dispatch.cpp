@@ -60,16 +60,13 @@ class Dispatcher {
     if (options_.max_respawns < 0)
       throw DispatchError("max_respawns must be >= 0");
 
-    // Expand and resolve every point before the first fork, exactly like
-    // run_sweep: an infeasible substitution fails loudly up front instead
-    // of bouncing off workers until it is quarantined.  Points are
-    // expanded one at a time (SweepSpec::expand_point) and re-expanded at
-    // assignment, so the host never holds O(points) documents for huge
-    // grids — only the sweep itself.
+    // Resolve every point before the first fork, exactly like run_sweep:
+    // an infeasible substitution fails loudly up front instead of
+    // bouncing off workers until it is quarantined.  Points are
+    // re-expanded at assignment, so the host never holds O(points)
+    // documents for huge grids — only the sweep itself.
+    validate_sweep(sweep);
     const std::size_t point_total = sweep.point_count();
-    if (point_total == 0) sweep.expand();  // raises the empty-axis error
-    for (std::size_t i = 0; i < point_total; ++i)
-      resolve_scenario(sweep.expand_point(i));
     sweep_ = sweep;
 
     const int count = static_cast<int>(point_total);

@@ -30,7 +30,7 @@
 ///               poll-loop server and synchronous client
 ///   runtime/    threaded message-passing substrate with wire-level
 ///               fault injection and CRC framing
-///   stats/      descriptive statistics and histograms
+///   stats/      descriptive statistics and confidence intervals
 ///   util/       contracts, deterministic RNG, tables, CSV, logging,
 ///               seeded syscall-level fault injection (chaos testing)
 
@@ -76,17 +76,14 @@
 #include "service/server.hpp"
 #include "service/socket.hpp"
 #include "sim/campaign.hpp"
-#include "sim/engine.hpp"
 #include "sim/executor.hpp"
 #include "sim/initial_values.hpp"
-#include "sim/machine.hpp"
 #include "sim/properties.hpp"
 #include "sim/result_json.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace_retention.hpp"
 #include "sim/workspace.hpp"
 #include "stats/descriptive.hpp"
-#include "stats/histogram.hpp"
 #include "stats/interval.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"

@@ -13,7 +13,7 @@ namespace hoval {
 
 namespace {
 
-/// Mirrors the CampaignEngine preconditions so an infeasible spec (or
+/// Mirrors Executor::submit()'s preconditions so an infeasible spec (or
 /// sweep substitution) fails at resolve time, before any campaign starts.
 void validate_knobs(const CampaignKnobs& knobs) {
   if (knobs.runs <= 0)
@@ -91,9 +91,7 @@ void fold_pool_threads(int point_threads, int& pool_threads) {
 CampaignResult skipped_point_result(const CampaignConfig& config) {
   CampaignResult result;
   result.cancelled = true;
-  result.runs_requested = config.adaptive.enabled
-                              ? config.adaptive.cap(config.runs)
-                              : config.runs;
+  result.runs_requested = config.run_cap();
   result.predicate_holds.assign(config.predicates.size(), 0);
   result.predicate_names.reserve(config.predicates.size());
   for (const auto& predicate : config.predicates)
@@ -183,13 +181,9 @@ CampaignResult run_scenario(const ScenarioSpec& spec, Executor& executor) {
       .take();
 }
 
-std::vector<CampaignResult> run_sweep(const SweepSpec& sweep,
-                                      const SweepOptions& options) {
-  // Validation pass: expand and resolve one grid point at a time
-  // (SweepSpec::expand_point), so an infeasible substitution or bad
-  // parameter still fails before any campaign starts — but without
-  // holding O(points) specs or builders alive for huge grids.  Pool
-  // sizing for an owned executor falls out of the same pass.
+int validate_sweep(const SweepSpec& sweep) {
+  // One grid point at a time (SweepSpec::expand_point): no O(points)
+  // specs or builders are held alive for huge grids.
   const std::size_t count = sweep.point_count();
   if (count == 0) sweep.expand();  // raises the precise empty-axis error
   int pool_threads = 1;
@@ -197,6 +191,37 @@ std::vector<CampaignResult> run_sweep(const SweepSpec& sweep,
     const ResolvedScenario point = resolve_scenario(sweep.expand_point(i));
     fold_pool_threads(point.config.threads, pool_threads);
   }
+  return pool_threads;
+}
+
+std::vector<CampaignHandle> submit_sweep(const SweepSpec& sweep,
+                                         Executor& executor,
+                                         const PointProgressFactory& progress) {
+  const std::size_t count = sweep.point_count();
+  std::vector<CampaignHandle> handles;
+  handles.reserve(count);
+  try {
+    for (std::size_t i = 0; i < count; ++i) {
+      ResolvedScenario point = resolve_scenario(sweep.expand_point(i));
+      if (progress)
+        point.config.progress = progress(static_cast<int>(i), point.config);
+      handles.push_back(executor.submit(
+          std::move(point.values), std::move(point.instance),
+          std::move(point.adversary), std::move(point.config)));
+    }
+  } catch (...) {
+    for (CampaignHandle& handle : handles) handle.cancel();
+    throw;
+  }
+  return handles;
+}
+
+std::vector<CampaignResult> run_sweep(const SweepSpec& sweep,
+                                      const SweepOptions& options) {
+  // Every point resolves before any campaign starts; pool sizing for an
+  // owned executor falls out of the same pass.
+  const int pool_threads = validate_sweep(sweep);
+  const std::size_t count = sweep.point_count();
 
   // One pool lifecycle for the whole sweep.
   std::optional<Executor> owned;
@@ -215,20 +240,14 @@ std::vector<CampaignResult> run_sweep(const SweepSpec& sweep,
     if (options.overlap_points) {
       // Submit everything, then collect in expand() order: adaptive
       // early-stoppers hand their workers to the slow points instead of
-      // idling through each point's tail.
-      std::vector<CampaignHandle> handles;
-      handles.reserve(count);
-      for (int i = 0; i < total_points; ++i) {
-        ResolvedScenario point =
-            resolve_scenario(sweep.expand_point(static_cast<std::size_t>(i)));
-        point.config.progress =
-            wrap_point_progress(cancel, options.progress, i, total_points);
-        CampaignHandle handle = executor->submit(
-            std::move(point.values), std::move(point.instance),
-            std::move(point.adversary), std::move(point.config));
-        handles.push_back(handle);
-        cancel->add(std::move(handle));
-      }
+      // idling through each point's tail.  A veto during submission is
+      // not lost: add() cancels handles that arrive after it.
+      std::vector<CampaignHandle> handles = submit_sweep(
+          sweep, *executor, [&](int point, const CampaignConfig&) {
+            return wrap_point_progress(cancel, options.progress, point,
+                                       total_points);
+          });
+      for (const CampaignHandle& handle : handles) cancel->add(handle);
       for (CampaignHandle& handle : handles) results.push_back(handle.take());
     } else {
       for (int i = 0; i < total_points; ++i) {
@@ -256,16 +275,6 @@ std::vector<CampaignResult> run_sweep(const SweepSpec& sweep,
   }
   cancel->release();
   return results;
-}
-
-std::vector<CampaignResult> run_sweep(const SweepSpec& sweep,
-                                      const ProgressCallback& progress) {
-  SweepOptions options;
-  if (progress)
-    options.progress = [progress](const SweepProgress& point) {
-      return progress(CampaignProgress{point.completed, point.total});
-    };
-  return run_sweep(sweep, options);
 }
 
 }  // namespace hoval

@@ -9,9 +9,10 @@
 /// hand-rolled builders at any thread count.
 ///
 /// Sweeps execute on one persistent worker pool (sim/executor.hpp): every
-/// grid point is resolved up front, then submitted to a single Executor —
-/// by default all at once, so points overlap and an adaptive
-/// early-stopper's workers immediately pick up the slower points' runs.
+/// grid point is resolved up front (validate_sweep), then submitted to a
+/// single Executor — by default all at once (submit_sweep), so points
+/// overlap and an adaptive early-stopper's workers immediately pick up the
+/// slower points' runs.
 /// Because every point's campaign is bit-identical under any pool and any
 /// submission interleaving, overlapping changes wall time only, never a
 /// result.
@@ -29,7 +30,7 @@ namespace hoval {
 /// A scenario resolved against the registries: ready-to-run builders plus
 /// the CampaignConfig equivalent of the spec's campaign knobs.  Callers
 /// that need more than run_scenario() offers (progress hooks, single-run
-/// tracing, custom timing) resolve first and drive the engine — or an
+/// tracing, custom timing) resolve first and call run_campaign() — or an
 /// Executor — themselves.
 struct ResolvedScenario {
   ValueGenerator values;
@@ -66,8 +67,8 @@ struct SweepProgress {
 
 /// Invoked with the batching of CampaignConfig::progress_batch, per
 /// point; with overlapping points, callbacks for different points
-/// interleave (each point's stream is serialised, as the engine always
-/// did).  Returning false cancels the *whole sweep*: every in-flight
+/// interleave (each point's stream is serialised, as for any campaign).
+/// Returning false cancels the *whole sweep*: every in-flight
 /// point is cancelled and every not-yet-started point is skipped.
 using SweepProgressCallback = std::function<bool(const SweepProgress&)>;
 
@@ -87,19 +88,35 @@ struct SweepOptions {
   SweepProgressCallback progress;
 };
 
-/// Expands the sweep and resolves *every* grid point before running any
-/// of them, so an infeasible substitution fails before the first campaign
-/// starts.  Executes the points per `options` on one pool and returns one
-/// CampaignResult per point, in expand() order.  Points skipped by a
-/// whole-sweep cancellation come back as empty results with
-/// CampaignResult::cancelled set.
-std::vector<CampaignResult> run_sweep(const SweepSpec& sweep,
-                                      const SweepOptions& options);
+/// The validation pass every sweep front end (run_sweep, hovald, the
+/// dispatcher) runs before its first campaign: expands and resolves each
+/// grid point in turn, so an infeasible substitution or bad parameter
+/// fails up front.  Returns the pool size a sweep-owned Executor uses:
+/// hardware concurrency (0) as soon as any point asks for it, else the
+/// widest explicit campaign.threads — so a sweep of threads = 1 points
+/// runs on a single worker.  \throws ScenarioError on an empty axis or
+/// an unresolvable point.
+int validate_sweep(const SweepSpec& sweep);
 
-/// Compatibility overload: default options (one pool, overlapping
-/// points), with `progress` attached to every point minus the point
-/// identity.  Returning false from the callback cancels the whole sweep.
+/// Builds one point's campaign progress hook from its expand() index and
+/// resolved config; an empty callback attaches none.
+using PointProgressFactory =
+    std::function<ProgressCallback(int point, const CampaignConfig& config)>;
+
+/// The plain-sweep point loop shared by run_sweep() and hovald: per point,
+/// in expand() order, expand_point(), resolve, attach `progress`'s hook
+/// and submit to `executor`.  Returns the handles in expand() order.  Call
+/// validate_sweep() first; a point that still fails to resolve throws
+/// after the points already submitted are cancelled.
+std::vector<CampaignHandle> submit_sweep(
+    const SweepSpec& sweep, Executor& executor,
+    const PointProgressFactory& progress = {});
+
+/// Validates the sweep (validate_sweep), then executes the points per
+/// `options` on one pool and returns one CampaignResult per point, in
+/// expand() order.  Points skipped by a whole-sweep cancellation come back
+/// as empty results with CampaignResult::cancelled set.
 std::vector<CampaignResult> run_sweep(const SweepSpec& sweep,
-                                      const ProgressCallback& progress = {});
+                                      const SweepOptions& options = {});
 
 }  // namespace hoval

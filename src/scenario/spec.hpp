@@ -7,8 +7,8 @@
 /// evaluated on the trace — and ScenarioSpec captures that shape as
 /// *data*.  A spec round-trips losslessly through JSON, is resolved
 /// against the string-keyed registries (scenario/registry.hpp), and runs
-/// through run_scenario() (scenario/run.hpp) on the same CampaignEngine
-/// path as every hand-built campaign; the result is bit-identical to the
+/// through run_scenario() (scenario/run.hpp) on the same Executor path as
+/// every hand-built campaign; the result is bit-identical to the
 /// equivalent hand-rolled builders.
 ///
 /// SweepSpec layers grid expansion on top: any scalar field of the spec

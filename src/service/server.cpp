@@ -112,9 +112,9 @@ struct Client {
 
 struct PendingJob {
   QueuedJob meta;
-  bool sweep = false;
+  bool sweep = false;  ///< answer with an array (a scenario: one object)
   bool progress_wanted = false;
-  ScenarioSpec scenario;
+  /// The job's grid; a scenario is a zero-axis sweep of one point.
   SweepSpec sweep_spec;
   std::string cache_key;
 };
@@ -258,9 +258,10 @@ struct Server::Impl {
         job.cache_key = sweep_cache_key(job.sweep_spec);
         job.meta.cost = sweep_cost(job.sweep_spec);
       } else {
-        job.scenario = ScenarioSpec::from_json(message.spec);
-        job.cache_key = scenario_cache_key(job.scenario);
-        job.meta.cost = scenario_cost(job.scenario);
+        ScenarioSpec scenario = ScenarioSpec::from_json(message.spec);
+        job.cache_key = scenario_cache_key(scenario);
+        job.meta.cost = scenario_cost(scenario);
+        job.sweep_spec.base = std::move(scenario);
       }
     } catch (const std::exception& e) {
       jobs_failed.fetch_add(1, std::memory_order_relaxed);
@@ -352,24 +353,16 @@ struct Server::Impl {
     }
   }
 
-  /// Resolves and submits one job's campaigns.  Mirrors run_sweep's
-  /// overlapping-submission shape; determinism makes the collected bytes
-  /// identical to the local path regardless of interleaving.
+  /// Resolves and submits one job's campaigns through run_sweep's point
+  /// loop (validate_sweep + submit_sweep); determinism makes the collected
+  /// bytes identical to the local path regardless of interleaving.
   /// \throws ScenarioError on an unresolvable spec (nothing submitted).
   void start_job(PendingJob job) {
-    if (job.sweep && job.sweep_spec.refine.enabled) {
+    if (job.sweep_spec.refine.enabled) {
       start_refined_job(std::move(job));
       return;
     }
-    std::vector<ResolvedScenario> points;
-    if (job.sweep) {
-      const std::vector<ScenarioSpec> expanded = job.sweep_spec.expand();
-      points.reserve(expanded.size());
-      for (const ScenarioSpec& point : expanded)
-        points.push_back(resolve_scenario(point));
-    } else {
-      points.push_back(resolve_scenario(job.scenario));
-    }
+    validate_sweep(job.sweep_spec);
 
     ActiveJob admitted;
     admitted.client_fd = job.meta.client;
@@ -378,20 +371,16 @@ struct Server::Impl {
     admitted.progress_wanted = job.progress_wanted;
     admitted.cache_key = std::move(job.cache_key);
     if (job.progress_wanted)
-      admitted.state = std::make_shared<ProgressState>(points.size());
-    admitted.handles.reserve(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      ResolvedScenario& point = points[i];
-      const CampaignConfig& cfg = point.config;
-      admitted.total +=
-          cfg.adaptive.enabled ? cfg.adaptive.cap(cfg.runs) : cfg.runs;
-      if (admitted.state)
-        point.config.progress =
-            make_point_progress(admitted.state, wake.write_fd, i);
-      admitted.handles.push_back(executor.submit(
-          std::move(point.values), std::move(point.instance),
-          std::move(point.adversary), std::move(point.config)));
-    }
+      admitted.state =
+          std::make_shared<ProgressState>(job.sweep_spec.point_count());
+    admitted.handles = submit_sweep(
+        job.sweep_spec, executor,
+        [&](int point, const CampaignConfig& config) -> ProgressCallback {
+          admitted.total += config.run_cap();
+          if (!admitted.state) return {};
+          return make_point_progress(admitted.state, wake.write_fd,
+                                     static_cast<std::size_t>(point));
+        });
     if (config.log)
       log("job " + std::to_string(admitted.id) + " from client " +
           std::to_string(admitted.client_fd) + " started (" +

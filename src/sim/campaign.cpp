@@ -1,8 +1,9 @@
 #include "sim/campaign.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <thread>
 
-#include "sim/engine.hpp"
 #include "sim/executor.hpp"
 #include "util/format.hpp"
 
@@ -56,11 +57,24 @@ std::string CampaignResult::summary() const {
   return os.str();
 }
 
+int campaign_pool_threads(const CampaignConfig& config) {
+  int threads = config.threads;
+  if (threads <= 0) {
+    const unsigned hardware = std::thread::hardware_concurrency();
+    threads = hardware == 0 ? 1 : static_cast<int>(hardware);
+  }
+  // More workers than runs would idle.
+  return std::max(1, std::min(threads, config.run_cap()));
+}
+
 CampaignResult run_campaign(const ValueGenerator& values,
                             const InstanceBuilder& instance,
                             const AdversaryBuilder& adversary,
                             const CampaignConfig& config) {
-  return CampaignEngine(config).run(values, instance, adversary);
+  // Submit-and-wait on a transient pool: one pool lifecycle per call.
+  // Code running more than one campaign should share an Executor instead.
+  Executor executor(campaign_pool_threads(config));
+  return executor.submit(values, instance, adversary, config).take();
 }
 
 CampaignResult run_campaign(const ValueGenerator& values,

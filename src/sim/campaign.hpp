@@ -85,6 +85,12 @@ struct CampaignConfig {
   /// everything (memory scales with runs × rounds × n — use small
   /// campaigns).  Aggregate statistics are identical under every policy.
   TraceRetention keep_traces = TraceRetention::kNone;
+
+  /// The most runs this campaign may spend: `runs`, or adaptive.cap(runs)
+  /// when adaptive sizing is enabled.
+  int run_cap() const {
+    return adaptive.enabled ? adaptive.cap(runs) : runs;
+  }
 };
 
 /// One retained ground-truth trace (see CampaignConfig::keep_traces).
@@ -152,10 +158,17 @@ struct CampaignResult {
   std::string summary() const;
 };
 
-/// Runs the campaign on a CampaignEngine worker pool (see sim/engine.hpp).
-/// Each run gets seeds derived from (base_seed, index) for the initial
-/// values and the fault schedule independently, so the result does not
-/// depend on config.threads.
+/// The worker count run_campaign() gives its transient pool:
+/// config.threads, with 0 (or a negative value, which submission rejects)
+/// mapped to the hardware concurrency, clamped to [1, config.run_cap()].
+int campaign_pool_threads(const CampaignConfig& config);
+
+/// Runs the campaign on a transient Executor (sim/executor.hpp) of
+/// campaign_pool_threads(config) workers: submit and wait.  Each run gets
+/// seeds derived from (base_seed, index) for the initial values and the
+/// fault schedule independently, so the result does not depend on
+/// config.threads.  \throws PreconditionError on an invalid config, as
+/// Executor::submit().
 ///
 /// Since config.threads defaults to all cores, the builders (and any
 /// predicates) are invoked concurrently and must be thread-safe — true of

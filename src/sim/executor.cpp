@@ -28,9 +28,9 @@ int resolve_pool_threads(int requested) {
   return hardware == 0 ? 1 : static_cast<int>(hardware);
 }
 
-/// The CampaignEngine constructor's validation, shared verbatim so a
-/// config rejected by the engine is rejected by submit() with the same
-/// message, and vice versa.
+/// submit()'s config validation: every campaign entry point (run_campaign,
+/// run_scenario, sweeps) submits, so all reject a config with the same
+/// message.
 void validate_campaign_config(const CampaignConfig& config) {
   HOVAL_EXPECTS_MSG(config.runs > 0, "campaign needs at least one run");
   HOVAL_EXPECTS_MSG(config.threads >= 0,
@@ -68,8 +68,7 @@ struct PoolSignal {
 };
 
 /// Everything one run contributes to the aggregate, in a form that can be
-/// merged in run order without losing information.  (Moved here from the
-/// engine, which now executes through the Executor.)
+/// merged in run order without losing information.
 struct RunOutcome {
   bool executed = false;  ///< false for runs skipped by cancellation
   bool agreement_violation = false;
@@ -104,10 +103,10 @@ class CampaignJob {
         adversary_(std::move(adversary)),
         config_(std::move(config)),
         pool_(std::move(pool)) {
-    cap_ = config_.adaptive.enabled ? config_.adaptive.cap(config_.runs)
-                                    : config_.runs;
-    // Effective parallelism mirrors the engine's run-cap clamp so the
-    // auto batch size resolves identically for a given pool.
+    cap_ = config_.run_cap();
+    // Effective parallelism is clamped to the run cap (as
+    // campaign_pool_threads() is) so the auto batch size resolves
+    // identically for a given pool.
     effective_threads_ = std::min(pool_threads, cap_);
     if (config_.batch_size > 0) {
       batch_ = config_.batch_size;
@@ -204,10 +203,12 @@ class CampaignJob {
     }
   }
 
-  /// Executes one run into its outcome slot.  Identical, statement for
-  /// statement, to the engine's historical execute_run: seeds derive from
+  /// Executes one run into its outcome slot.  Seeds derive from
   /// (base_seed, run) alone, so the outcome is independent of worker,
-  /// pool, and whatever else the executor interleaves.
+  /// pool, and whatever else the executor interleaves.  A cancellation
+  /// seen between rounds abandons the run: its slot stays unexecuted, so
+  /// the reduction leaves it out exactly like a run that never started,
+  /// and cancel latency is bounded by one round instead of one run.
   void execute_run(int run, RunWorkspace& workspace, WorkerJobState& state) {
     Rng value_rng(
         mix_seed(config_.base_seed, static_cast<std::uint64_t>(run), 1));
@@ -225,6 +226,7 @@ class CampaignJob {
     for (const auto& stream : state.streams)
       if (stream) stream->reset(n);
     while (simulator.step()) {
+      if (cancel_requested_.load(std::memory_order_relaxed)) return;
       if (!state.any_stream) continue;
       const RoundRecord& round = workspace.trace.last_round();
       for (const auto& stream : state.streams)

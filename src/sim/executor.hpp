@@ -3,11 +3,10 @@
 /// \file executor.hpp
 /// Executor: the persistent campaign execution service.
 ///
-/// Where a CampaignEngine::run() call owns its worker pool for the
-/// duration of one campaign, an Executor is a *long-lived* pool that
-/// campaigns are submitted to asynchronously: submit() returns a
-/// CampaignHandle immediately, and the campaign's deterministic adaptive
-/// waves become schedulable blocks of pool work.  Campaigns from different
+/// An Executor is a *long-lived* worker pool that campaigns are submitted
+/// to asynchronously (run_campaign() is submit-and-wait on a transient
+/// one): submit() returns a CampaignHandle immediately, and the campaign's
+/// deterministic adaptive waves become schedulable blocks of pool work.  Campaigns from different
 /// submissions interleave on the same workers — an adaptive early-stopper
 /// frees its workers for whatever else is queued — which is what lets a
 /// whole sweep (scenario/run.hpp) share one pool lifecycle instead of
@@ -17,11 +16,11 @@
 /// interleaving.  Every run of a campaign derives its RNG streams from
 /// (base_seed, run index) alone, outcomes land in per-run slots, and the
 /// reduction merges them in run-index order; adaptive stopping decisions
-/// are evaluated only on fully-executed wave prefixes, exactly as the
-/// engine always did.  Nothing a run computes depends on which worker
-/// executed it, which pool it ran on, or what other campaigns were in
-/// flight — so a campaign's CampaignResult is bit-identical for any
-/// executor thread count, any batch size, and any submission interleaving.
+/// are evaluated only on fully-executed wave prefixes.  Nothing a run
+/// computes depends on which worker executed it, which pool it ran on, or
+/// what other campaigns were in flight — so a campaign's CampaignResult is
+/// bit-identical for any executor thread count, any batch size, and any
+/// submission interleaving.
 ///
 /// Each worker owns one RunWorkspace (sim/workspace.hpp) for its entire
 /// lifetime: the workspace is size-agnostic and reused across *all* the
@@ -74,7 +73,7 @@ class CampaignHandle {
 
   /// Blocks until finished and returns the merged result.  \throws the
   /// first exception a builder, predicate or progress callback raised
-  /// while the campaign executed (mirroring CampaignEngine::run()).
+  /// while the campaign executed.
   const CampaignResult& result() const;
 
   /// Blocks until finished and *moves* the result out — the zero-copy way
@@ -84,9 +83,10 @@ class CampaignHandle {
   CampaignResult take();
 
   /// Requests cancellation: no further runs of this campaign start, runs
-  /// already executing finish, and the result is reduced over the executed
-  /// prefix with CampaignResult::cancelled set (exactly the engine's
-  /// progress-veto semantics).  Cancelling before the first run starts
+  /// already executing stop at their next round and are left out like
+  /// runs that never started, and the result is reduced over the completed
+  /// runs with CampaignResult::cancelled set (the same semantics as a
+  /// progress-callback veto).  Cancelling before the first run starts
   /// yields an empty cancelled result.  Returns true when the request
   /// landed before the campaign finished; false when there was nothing
   /// left to cancel.  Idempotent.
@@ -129,13 +129,13 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Enqueues a campaign and returns immediately.  The config is
-  /// validated exactly as CampaignEngine's constructor validates it
-  /// (\throws PreconditionError on the same violations); its `threads`
-  /// field is ignored — the pool is shared and its size fixed — which
-  /// never changes the result, since campaigns are bit-identical at any
-  /// thread count.  Batch size / adaptive waves / progress batching /
-  /// trace retention all behave exactly as under CampaignEngine::run().
+  /// Enqueues a campaign and returns immediately.  \throws
+  /// PreconditionError on runs <= 0, threads < 0, progress_batch <= 0,
+  /// batch_size < 0, or invalid adaptive knobs (min_runs <= 0, max_runs
+  /// < 0, ci_epsilon <= 0, ci_confidence outside (0, 1)).  The config's
+  /// `threads` field is otherwise ignored — the pool is shared and its
+  /// size fixed — which never changes the result, since campaigns are
+  /// bit-identical at any thread count.
   CampaignHandle submit(ValueGenerator values, InstanceBuilder instance,
                         AdversaryBuilder adversary, CampaignConfig config);
 

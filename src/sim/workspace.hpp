@@ -9,7 +9,7 @@
 /// RunWorkspace owns all of it once: the Simulator borrows a workspace and
 /// overwrites the same buffers round after round, and the resettable
 /// ComputationTrace recycles its round records run after run.  Campaign
-/// workers (sim/engine.hpp) keep one workspace per thread, so back-to-back
+/// workers (sim/executor.hpp) keep one workspace per thread, so back-to-back
 /// runs of a campaign are allocation-free outside the algorithm instances
 /// themselves.
 ///

@@ -7,8 +7,8 @@
 /// from a Monte-Carlo campaign; the Wilson score interval quantifies how
 /// converged such an estimate is, and StoppingRule turns that into the
 /// "stop sampling once every monitored proportion is pinned down to
-/// +/- ci_epsilon" policy the CampaignEngine applies at deterministic
-/// batch boundaries (sim/engine.hpp).
+/// +/- ci_epsilon" policy the campaign Executor applies at deterministic
+/// batch boundaries (sim/executor.hpp).
 ///
 /// Wilson is the standard choice for campaign-sized data: unlike the
 /// normal (Wald) interval it never escapes [0, 1], and it stays honest at
@@ -65,7 +65,7 @@ bool intervals_disagree(const ConfidenceInterval& a,
 /// ci_epsilon (at ci_confidence), but never stop before min_runs and never
 /// exceed the campaign budget.  Checked only at deterministic run-count
 /// boundaries so a campaign's executed prefix — and therefore its result —
-/// is bit-identical at any thread count (see sim/engine.hpp).
+/// is bit-identical at any thread count (see sim/executor.hpp).
 struct StoppingRule {
   bool enabled = false;
   /// Never evaluate convergence before this many runs (guards against

@@ -75,9 +75,8 @@ ScenarioSpec small_spec(int runs = 10, std::uint64_t seed = 42) {
 }
 
 /// A job that stays in flight for minutes if nobody cancels it: many
-/// moderate runs (cancellation is checked between run claims, so the run
-/// count — not the run length — bounds cancel latency), each forced
-/// through its full round budget.
+/// long runs, each forced through its full round budget (a cancel stops
+/// in-flight runs between rounds).
 ScenarioSpec long_running_spec() {
   ScenarioSpec spec = small_spec(5000);
   spec.campaign.rounds = 100'000;
@@ -144,6 +143,27 @@ TEST(Daemon, SweepResultMatchesLocalRunByteForByte) {
   ASSERT_TRUE(outcome.ok) << outcome.error;
   ASSERT_TRUE(outcome.result.is_array());
   EXPECT_EQ(outcome.result.items().size(), 2u);
+  EXPECT_EQ(outcome.result.dump(), local_sweep_bytes(sweep));
+}
+
+TEST(Daemon, LinkedAxisReseededSweepMatchesLocalRunByteForByte) {
+  // A linked axis substitutes several paths per point, and
+  // reseed_per_point derives each point's seed from its grid index: the
+  // served point loop must reproduce both exactly.
+  ServerFixture fixture({});
+  SweepSpec sweep;
+  sweep.base = small_spec(12);
+  sweep.axes.push_back(SweepAxis::linked(
+      {"algorithm.params.n", "algorithm.params.alpha"},
+      {{Json(9), Json(1)}, {Json(13), Json(2)}}));
+  sweep.axes.push_back(
+      SweepAxis::single("campaign.rounds", {Json(20), Json(40)}));
+  sweep.reseed_per_point = true;
+  ServiceClient client(fixture.address());
+  const JobOutcome outcome = client.submit_sweep(sweep.to_json());
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  ASSERT_TRUE(outcome.result.is_array());
+  EXPECT_EQ(outcome.result.items().size(), 4u);
   EXPECT_EQ(outcome.result.dump(), local_sweep_bytes(sweep));
 }
 

@@ -1,8 +1,10 @@
-#include "sim/engine.hpp"
+#include "sim/campaign.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "adversary/corruption.hpp"
@@ -10,6 +12,7 @@
 #include "core/factories.hpp"
 #include "predicates/liveness.hpp"
 #include "predicates/safety.hpp"
+#include "sim/executor.hpp"
 #include "sim/initial_values.hpp"
 #include "util/check.hpp"
 
@@ -69,14 +72,17 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_EQ(a.summary(), b.summary());
 }
 
-CampaignResult run_with_threads(CampaignConfig config, int threads) {
-  config.threads = threads;
-  return CampaignEngine(config).run(random_of(9, 3),
-                                    ate_instance(AteParams::canonical(9, 2)),
-                                    corruption_of(2));
+CampaignResult run_ate(const CampaignConfig& config) {
+  return run_campaign(random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
+                      corruption_of(2), config);
 }
 
-TEST(CampaignEngine, ResultIdenticalAcrossThreadCounts) {
+CampaignResult run_with_threads(CampaignConfig config, int threads) {
+  config.threads = threads;
+  return run_ate(config);
+}
+
+TEST(RunCampaign, ResultIdenticalAcrossThreadCounts) {
   const auto serial = run_with_threads(base_config(64), 1);
   const auto two = run_with_threads(base_config(64), 2);
   const auto eight = run_with_threads(base_config(64), 8);
@@ -86,7 +92,7 @@ TEST(CampaignEngine, ResultIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.runs_requested, 64);
 }
 
-TEST(CampaignEngine, ResultIdenticalAcrossBatchSizes) {
+TEST(RunCampaign, ResultIdenticalAcrossBatchSizes) {
   // Batched task claims must not change anything — not the tallies, not
   // the sample order, not the recorded violation strings.
   auto run_with_batch = [](int batch_size, int threads) {
@@ -103,18 +109,6 @@ TEST(CampaignEngine, ResultIdenticalAcrossBatchSizes) {
   }
 }
 
-TEST(CampaignEngine, ResolvesBatchSize) {
-  auto config = base_config(640);
-  config.threads = 4;
-  config.batch_size = 0;  // auto: 640 / (4 * 8) = 20
-  EXPECT_EQ(CampaignEngine(config).batch_size(), 20);
-  config.batch_size = 7;
-  EXPECT_EQ(CampaignEngine(config).batch_size(), 7);
-  config.runs = 4;
-  config.batch_size = 0;  // tiny campaign: auto clamps to 1
-  EXPECT_EQ(CampaignEngine(config).batch_size(), 1);
-}
-
 CampaignConfig adaptive_config(int cap, double epsilon) {
   auto config = base_config(cap);
   config.adaptive.enabled = true;
@@ -124,7 +118,7 @@ CampaignConfig adaptive_config(int cap, double epsilon) {
   return config;
 }
 
-TEST(CampaignEngine, AdaptiveResultIdenticalAcrossThreadsAndBatches) {
+TEST(RunCampaign, AdaptiveResultIdenticalAcrossThreadsAndBatches) {
   // The stopping decision is evaluated on fully-executed deterministic
   // prefixes, so the executed run set — and the whole result — must be
   // bit-identical at any thread count and batch size.
@@ -138,7 +132,7 @@ TEST(CampaignEngine, AdaptiveResultIdenticalAcrossThreadsAndBatches) {
   }
 }
 
-TEST(CampaignEngine, AdaptiveStopsEarlyOnConvergedIntervals) {
+TEST(RunCampaign, AdaptiveStopsEarlyOnConvergedIntervals) {
   // This workload terminates essentially always and holds both predicates,
   // so every monitored proportion converges fast.
   const auto result = run_with_threads(adaptive_config(4096, 0.05), 4);
@@ -155,7 +149,7 @@ TEST(CampaignEngine, AdaptiveStopsEarlyOnConvergedIntervals) {
             std::string::npos);
 }
 
-TEST(CampaignEngine, AdaptiveNeverStopsBelowMinRuns) {
+TEST(RunCampaign, AdaptiveNeverStopsBelowMinRuns) {
   auto config = adaptive_config(256, 0.5);  // epsilon so loose any n works
   config.adaptive.min_runs = 48;
   const auto result = run_with_threads(config, 2);
@@ -163,7 +157,7 @@ TEST(CampaignEngine, AdaptiveNeverStopsBelowMinRuns) {
   EXPECT_EQ(result.runs, 48);
 }
 
-TEST(CampaignEngine, AdaptiveRunsToCapWhenEpsilonUnreachable) {
+TEST(RunCampaign, AdaptiveRunsToCapWhenEpsilonUnreachable) {
   // An impossibly tight target degenerates to the fixed budget: every run
   // executes and the result matches the non-adaptive campaign run for run.
   const auto fixed = run_with_threads(base_config(96), 2);
@@ -179,7 +173,7 @@ TEST(CampaignEngine, AdaptiveRunsToCapWhenEpsilonUnreachable) {
             fixed.last_decision_rounds.samples());
 }
 
-TEST(CampaignEngine, AdaptiveMaxRunsExtendsBeyondCampaignRuns) {
+TEST(RunCampaign, AdaptiveMaxRunsExtendsBeyondCampaignRuns) {
   // max_runs > runs lets one config serve as both the fixed budget and a
   // larger adaptive cap.
   auto config = adaptive_config(64, 1e-9);
@@ -189,24 +183,24 @@ TEST(CampaignEngine, AdaptiveMaxRunsExtendsBeyondCampaignRuns) {
   EXPECT_EQ(result.runs_requested, 160);
 }
 
-TEST(CampaignEngine, ValidatesAdaptiveConfig) {
+TEST(RunCampaign, ValidatesAdaptiveConfig) {
   auto config = adaptive_config(64, 0.05);
   config.adaptive.min_runs = 0;
-  EXPECT_THROW(CampaignEngine{config}, PreconditionError);
+  EXPECT_THROW(run_ate(config), PreconditionError);
   config = adaptive_config(64, 0.0);
-  EXPECT_THROW(CampaignEngine{config}, PreconditionError);
+  EXPECT_THROW(run_ate(config), PreconditionError);
   config = adaptive_config(64, 0.05);
   config.adaptive.ci_confidence = 1.0;
-  EXPECT_THROW(CampaignEngine{config}, PreconditionError);
+  EXPECT_THROW(run_ate(config), PreconditionError);
   config = adaptive_config(64, 0.05);
   config.adaptive.max_runs = -1;
-  EXPECT_THROW(CampaignEngine{config}, PreconditionError);
+  EXPECT_THROW(run_ate(config), PreconditionError);
   config = base_config(64);
   config.batch_size = -1;
-  EXPECT_THROW(CampaignEngine{config}, PreconditionError);
+  EXPECT_THROW(run_ate(config), PreconditionError);
 }
 
-TEST(CampaignEngine, ViolationRecordingDeterministicNearCap) {
+TEST(RunCampaign, ViolationRecordingDeterministicNearCap) {
   // Broken thresholds under a fixed-value poison produce integrity
   // violations on most runs; the cap must keep exactly the first
   // max_recorded_violations in run order for every thread count.
@@ -224,9 +218,10 @@ TEST(CampaignEngine, ViolationRecordingDeterministicNearCap) {
 
   auto run_it = [&](int threads) {
     config.threads = threads;
-    return CampaignEngine(config).run(
+    return run_campaign(
         [](Rng&) { return unanimous_values(6, 1); }, ate_instance(bad),
-        [&] { return std::make_shared<RandomCorruptionAdversary>(poison); });
+        [&] { return std::make_shared<RandomCorruptionAdversary>(poison); },
+        config);
   };
   const auto serial = run_it(1);
   const auto two = run_it(2);
@@ -247,7 +242,7 @@ TEST(CampaignEngine, ViolationRecordingDeterministicNearCap) {
 // regression here means the hot path changed simulation semantics, not just
 // speed.
 
-TEST(CampaignEngine, GoldenStatsBitIdenticalToPreRefactorBaseline) {
+TEST(RunCampaign, GoldenStatsBitIdenticalToPreRefactorBaseline) {
   CampaignConfig config;
   config.runs = 96;
   config.sim.max_rounds = 60;
@@ -261,14 +256,15 @@ TEST(CampaignEngine, GoldenStatsBitIdenticalToPreRefactorBaseline) {
     config.batch_size = batch_size;
     RandomCorruptionConfig corruption;
     corruption.alpha = 2;
-    return CampaignEngine(config).run(
+    return run_campaign(
         random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
         [corruption] {
           GoodRoundConfig good;
           good.period = 5;
           return std::make_shared<GoodRoundScheduler>(
               std::make_shared<RandomCorruptionAdversary>(corruption), good);
-        });
+        },
+        config);
   };
 
   for (const int threads : {1, 2, 8}) {
@@ -297,7 +293,7 @@ TEST(CampaignEngine, GoldenStatsBitIdenticalToPreRefactorBaseline) {
   }
 }
 
-TEST(CampaignEngine, GoldenViolationStringsBitIdenticalToPreRefactorBaseline) {
+TEST(RunCampaign, GoldenViolationStringsBitIdenticalToPreRefactorBaseline) {
   const AteParams bad{6, /*T=*/0.5, /*E=*/1.0, /*alpha=*/6};
   RandomCorruptionConfig poison;
   poison.alpha = 6;
@@ -313,9 +309,10 @@ TEST(CampaignEngine, GoldenViolationStringsBitIdenticalToPreRefactorBaseline) {
   auto run_it = [&](int threads, int batch_size) {
     config.threads = threads;
     config.batch_size = batch_size;
-    return CampaignEngine(config).run(
+    return run_campaign(
         [](Rng&) { return unanimous_values(6, 1); }, ate_instance(bad),
-        [&] { return std::make_shared<RandomCorruptionAdversary>(poison); });
+        [&] { return std::make_shared<RandomCorruptionAdversary>(poison); },
+        config);
   };
 
   const std::vector<std::string> expected{
@@ -340,12 +337,12 @@ TEST(CampaignEngine, GoldenViolationStringsBitIdenticalToPreRefactorBaseline) {
 
 // --- trace retention --------------------------------------------------------
 
-TEST(CampaignEngine, KeepsNoTracesByDefault) {
+TEST(RunCampaign, KeepsNoTracesByDefault) {
   const auto result = run_with_threads(base_config(16), 2);
   EXPECT_TRUE(result.traces.empty());
 }
 
-TEST(CampaignEngine, KeepTracesAllRetainsEveryRunInOrder) {
+TEST(RunCampaign, KeepTracesAllRetainsEveryRunInOrder) {
   auto config = base_config(24);
   config.keep_traces = TraceRetention::kAll;
   const auto result = run_with_threads(config, 4);
@@ -365,7 +362,7 @@ TEST(CampaignEngine, KeepTracesAllRetainsEveryRunInOrder) {
   EXPECT_EQ(palpha_holds, result.predicate_holds[0]);
 }
 
-TEST(CampaignEngine, KeepTracesViolationsRetainsExactlyTheViolatingRuns) {
+TEST(RunCampaign, KeepTracesViolationsRetainsExactlyTheViolatingRuns) {
   // The poison workload violates integrity on every run.
   const AteParams bad{6, /*T=*/0.5, /*E=*/1.0, /*alpha=*/6};
   RandomCorruptionConfig poison;
@@ -379,9 +376,10 @@ TEST(CampaignEngine, KeepTracesViolationsRetainsExactlyTheViolatingRuns) {
   config.base_seed = 0xCA9;
   config.keep_traces = TraceRetention::kViolations;
   config.threads = 2;
-  const auto violating = CampaignEngine(config).run(
+  const auto violating = run_campaign(
       [](Rng&) { return unanimous_values(6, 1); }, ate_instance(bad),
-      [&] { return std::make_shared<RandomCorruptionAdversary>(poison); });
+      [&] { return std::make_shared<RandomCorruptionAdversary>(poison); },
+      config);
   EXPECT_EQ(violating.integrity_violations, 12);
   ASSERT_EQ(violating.traces.size(), 12u);
   EXPECT_EQ(violating.traces.front().run, 0);
@@ -394,7 +392,7 @@ TEST(CampaignEngine, KeepTracesViolationsRetainsExactlyTheViolatingRuns) {
   EXPECT_TRUE(clean.traces.empty());
 }
 
-TEST(CampaignEngine, RetentionPolicyDoesNotChangeStatistics) {
+TEST(RunCampaign, RetentionPolicyDoesNotChangeStatistics) {
   const auto reference = run_with_threads(base_config(48), 1);
   for (const TraceRetention policy :
        {TraceRetention::kViolations, TraceRetention::kAll}) {
@@ -406,28 +404,42 @@ TEST(CampaignEngine, RetentionPolicyDoesNotChangeStatistics) {
   }
 }
 
-TEST(CampaignEngine, MatchesRunCampaignFacade) {
+TEST(RunCampaign, MatchesSharedExecutorOverload) {
+  // The transient pool and a caller-supplied one yield the same bytes.
   auto config = base_config(32);
   config.threads = 8;
-  const auto engine = CampaignEngine(config).run(
-      random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
-      corruption_of(2));
-  config.threads = 1;
-  const auto facade =
+  const auto transient = run_ate(config);
+  Executor executor(2);
+  const auto shared =
       run_campaign(random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
-                   corruption_of(2), config);
-  expect_identical(engine, facade);
+                   corruption_of(2), config, executor);
+  expect_identical(transient, shared);
 }
 
-TEST(CampaignEngine, ResolvesThreadCounts) {
+TEST(RunCampaign, PoolThreadsFollowTheRequestClampedToTheRunCap) {
   auto config = base_config(4);
-  config.threads = 0;
-  EXPECT_GE(CampaignEngine(config).threads(), 1);
+  config.threads = 0;  // hardware concurrency, clamped to the 4 runs
+  const int hardware =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(campaign_pool_threads(config), std::min(hardware, 4));
+  config = base_config(64);
   config.threads = 3;
-  EXPECT_EQ(CampaignEngine(config).threads(), 3);
+  EXPECT_EQ(campaign_pool_threads(config), 3);
+  config.threads = 8;
+  config.runs = 5;
+  EXPECT_EQ(campaign_pool_threads(config), 5);
+  // Adaptive campaigns clamp to their cap, which max_runs may raise past
+  // or lower below the fixed budget.
+  config = adaptive_config(5, 0.05);
+  config.threads = 8;
+  EXPECT_EQ(campaign_pool_threads(config), 5);
+  config.adaptive.max_runs = 6;
+  EXPECT_EQ(campaign_pool_threads(config), 6);
+  config.adaptive.max_runs = 2;
+  EXPECT_EQ(campaign_pool_threads(config), 2);
 }
 
-TEST(CampaignEngine, ReportsBatchedProgress) {
+TEST(RunCampaign, ReportsBatchedProgress) {
   auto config = base_config(50);
   config.threads = 2;
   config.progress_batch = 16;
@@ -439,41 +451,41 @@ TEST(CampaignEngine, ReportsBatchedProgress) {
     EXPECT_EQ(progress.total, 50);
     return true;
   };
-  const auto result = CampaignEngine(config).run(
+  const auto result = run_campaign(
       random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
-      corruption_of(2));
+      corruption_of(2), config);
   EXPECT_FALSE(result.cancelled);
   EXPECT_EQ(result.runs, 50);
   EXPECT_GE(calls.load(), 1);
   EXPECT_EQ(final_completed.load(), 50);
 }
 
-TEST(CampaignEngine, ProgressCallbackCanCancel) {
+TEST(RunCampaign, ProgressCallbackCanCancel) {
   auto config = base_config(400);
   config.threads = 2;
   config.progress_batch = 8;
   config.progress = [](const CampaignProgress&) { return false; };
-  const auto result = CampaignEngine(config).run(
+  const auto result = run_campaign(
       random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
-      corruption_of(2));
+      corruption_of(2), config);
   EXPECT_TRUE(result.cancelled);
   EXPECT_LT(result.runs, 400);
   EXPECT_GT(result.runs, 0);
 }
 
-TEST(CampaignEngine, ValidatesConfig) {
+TEST(RunCampaign, ValidatesConfig) {
   auto config = base_config(10);
   config.threads = -1;
-  EXPECT_THROW(CampaignEngine{config}, PreconditionError);
+  EXPECT_THROW(run_ate(config), PreconditionError);
   config.threads = 0;
   config.progress_batch = 0;
-  EXPECT_THROW(CampaignEngine{config}, PreconditionError);
+  EXPECT_THROW(run_ate(config), PreconditionError);
   config.progress_batch = 64;
   config.runs = 0;
-  EXPECT_THROW(CampaignEngine{config}, PreconditionError);
+  EXPECT_THROW(run_ate(config), PreconditionError);
 }
 
-TEST(CampaignEngine, ProgressCallbackExceptionsPropagate) {
+TEST(RunCampaign, ProgressCallbackExceptionsPropagate) {
   // A throwing progress sink must surface to the caller, not terminate a
   // worker thread.
   auto config = base_config(64);
@@ -482,20 +494,20 @@ TEST(CampaignEngine, ProgressCallbackExceptionsPropagate) {
   config.progress = [](const CampaignProgress&) -> bool {
     throw std::runtime_error("progress sink failed");
   };
-  EXPECT_THROW(CampaignEngine(config).run(
+  EXPECT_THROW(run_campaign(
                    random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
-                   corruption_of(2)),
+                   corruption_of(2), config),
                std::runtime_error);
 }
 
-TEST(CampaignEngine, WorkerExceptionsPropagate) {
+TEST(RunCampaign, WorkerExceptionsPropagate) {
   auto config = base_config(32);
   config.threads = 4;
   const auto throwing_instance = [](const std::vector<Value>&) {
     return ProcessVector{};  // size mismatch trips the engine's precondition
   };
-  EXPECT_THROW(CampaignEngine(config).run(random_of(9, 3), throwing_instance,
-                                          corruption_of(2)),
+  EXPECT_THROW(run_campaign(random_of(9, 3), throwing_instance,
+                            corruption_of(2), config),
                PreconditionError);
 }
 

@@ -1,7 +1,7 @@
 /// The acceptance contract of the persistent Executor (sim/executor.hpp):
 /// campaigns submitted to a shared pool — at any pool size, under any
 /// submission interleaving, overlapped with whole sweeps — are
-/// bit-identical to the classic one-campaign CampaignEngine path, and
+/// bit-identical to the one-shot run_campaign() path, and
 /// CampaignHandle's cancel/ready/wait/result semantics hold from
 /// cancel-before-start through cancel-midway to post-completion, and the
 /// optional completion hook fires exactly once per campaign, after its
@@ -28,7 +28,6 @@
 #include "refine/driver.hpp"
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"
-#include "sim/engine.hpp"
 #include "sim/initial_values.hpp"
 #include "sim/result_json.hpp"
 #include "util/check.hpp"
@@ -96,9 +95,9 @@ TEST(Executor, SubmittedCampaignMatchesEngineAtAnyPoolSize) {
   const auto config = base_config(64, 0xEB61);
   CampaignConfig serial = config;
   serial.threads = 1;
-  const CampaignResult reference = CampaignEngine(serial).run(
+  const CampaignResult reference = run_campaign(
       random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
-      corruption_of(2));
+      corruption_of(2), serial);
   for (const int threads : {1, 2, 8}) {
     SCOPED_TRACE("pool threads=" + std::to_string(threads));
     Executor executor(threads);
@@ -129,9 +128,9 @@ TEST(Executor, InterleavedSubmissionsStayBitIdentical) {
   auto reference_of = [&](const CampaignConfig& config) {
     CampaignConfig serial = config;
     serial.threads = 1;
-    return CampaignEngine(serial).run(
+    return run_campaign(
         random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
-        corruption_of(2));
+        corruption_of(2), serial);
   };
 
   std::vector<CampaignConfig> configs;
@@ -214,12 +213,11 @@ TEST(Executor, SweepsInterleavedWithForeignCampaignsStayBitIdentical) {
   sequential.overlap_points = false;
   const std::vector<CampaignResult> sweep_reference =
       run_sweep(alpha_sweep(), sequential);
-  const CampaignResult campaign_reference = CampaignEngine([] {
-    auto config = base_config(96, 0xF00D);
-    config.threads = 1;
-    return config;
-  }()).run(random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
-           corruption_of(2));
+  CampaignConfig serial = base_config(96, 0xF00D);
+  serial.threads = 1;
+  const CampaignResult campaign_reference =
+      run_campaign(random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
+                   corruption_of(2), serial);
 
   Executor executor(4);
   CampaignHandle foreign = executor.submit(
@@ -263,10 +261,9 @@ TEST(Executor, CancelBeforeStartYieldsEmptyCancelledResult) {
   CampaignConfig serial = base_config(256, 0xEB61);
   serial.threads = 1;
   expect_identical(busy.result(),
-                   CampaignEngine(serial).run(
-                       random_of(9, 3),
-                       ate_instance(AteParams::canonical(9, 2)),
-                       corruption_of(2)));
+                   run_campaign(random_of(9, 3),
+                                ate_instance(AteParams::canonical(9, 2)),
+                                corruption_of(2), serial));
 }
 
 TEST(Executor, CancelMidwayKeepsTheExecutedPrefix) {
@@ -308,6 +305,41 @@ TEST(Executor, CancelMidwayKeepsTheExecutedPrefix) {
   EXPECT_GT(result.runs, 0);
   EXPECT_LT(result.runs, 4096);
   EXPECT_EQ(result.runs_requested, 4096);
+}
+
+TEST(Executor, CancelStopsInFlightRunsWithinARound) {
+  // 100000-round runs without an early stop take far longer than the
+  // allowance below (about 0.3 s each in an optimised build, seconds
+  // under sanitizers).  A cancel must stop them between rounds and leave
+  // them out of the result, like runs that never started.
+  auto started = std::make_shared<std::atomic<int>>(0);
+  CampaignConfig config = base_config(4, 0xEB61);
+  config.sim.max_rounds = 100000;
+  config.sim.stop_when_all_decided = false;
+
+  Executor executor(2);
+  CampaignHandle handle = executor.submit(
+      [started](Rng& rng) {
+        started->fetch_add(1);
+        return random_values(9, 3, rng);
+      },
+      ate_instance(AteParams::canonical(9, 2)), corruption_of(2), config);
+  while (started->load() < 2)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // mid-run
+
+  const auto cancelled_at = std::chrono::steady_clock::now();
+  EXPECT_TRUE(handle.cancel());
+  handle.wait();
+  const auto latency = std::chrono::steady_clock::now() - cancelled_at;
+  EXPECT_LT(latency, std::chrono::milliseconds(200));
+
+  const CampaignResult& result = handle.result();
+  EXPECT_TRUE(result.cancelled);
+  EXPECT_EQ(result.runs, 0);  // both started runs were abandoned
+  EXPECT_EQ(result.runs_requested, 4);
+  EXPECT_EQ(result.terminated, 0);
+  EXPECT_TRUE(result.last_decision_rounds.empty());
 }
 
 TEST(Executor, ErrorsPropagateThroughHandlesAndPoolSurvives) {
@@ -630,8 +662,10 @@ TEST_P(CompletionHook, FiresOnceOnCancelMidRun) {
     gate->release();
     const CampaignResult& result = handle.result();
     EXPECT_TRUE(result.cancelled);
-    EXPECT_GT(result.runs, 0);
-    EXPECT_LT(result.runs, 4096);
+    // Every started run was held at the gate when the cancel landed, so
+    // each stops at its first round and is left out of the result.
+    EXPECT_EQ(result.runs, 0);
+    EXPECT_EQ(result.runs_requested, 4096);
   }
   EXPECT_EQ(probe.calls, 1);
   EXPECT_FALSE(probe.ran_ahead);

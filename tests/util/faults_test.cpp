@@ -88,9 +88,12 @@ TEST(FaultInjector, SameSeedReplaysTheSameSchedule) {
     const ssize_t nb = b.read(pb.fds[0], buf_b, sizeof(buf_b));
     const int err_b = errno;
     ASSERT_EQ(na, nb) << "operation " << i;
-    if (na < 0) ASSERT_EQ(err_a, err_b) << "operation " << i;
-    if (na > 0)
+    if (na < 0) {
+      ASSERT_EQ(err_a, err_b) << "operation " << i;
+    }
+    if (na > 0) {
       ASSERT_EQ(std::memcmp(buf_a, buf_b, static_cast<std::size_t>(na)), 0);
+    }
   }
   const FaultStats sa = a.stats();
   const FaultStats sb = b.stats();

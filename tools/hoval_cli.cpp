@@ -354,11 +354,11 @@ int run_many(ResolvedScenario resolved, bool progress,
       return true;
     };
   }
-  const CampaignEngine engine(resolved.config);
-  const auto result =
-      engine.run(resolved.values, resolved.instance, resolved.adversary);
-  std::cout << result.summary() << " [" << engine.threads() << " thread"
-            << (engine.threads() == 1 ? "" : "s") << "]\n";
+  const auto result = run_campaign(resolved.values, resolved.instance,
+                                   resolved.adversary, resolved.config);
+  const int threads = campaign_pool_threads(resolved.config);
+  std::cout << result.summary() << " [" << threads << " thread"
+            << (threads == 1 ? "" : "s") << "]\n";
   if (resolved.config.keep_traces != TraceRetention::kNone)
     std::cout << "retained " << result.traces.size() << " trace(s) ("
               << to_string(resolved.config.keep_traces) << ")\n";
